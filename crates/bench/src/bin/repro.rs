@@ -85,10 +85,17 @@ struct Options {
     tenants: Option<Vec<u32>>,
 }
 
+/// Every positional selector `repro` understands.
+const SELECTORS: &[&str] = &[
+    "all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2", "chaos", "trace", "history",
+    "e10", "e11", "e12", "bench",
+];
+
 impl Options {
     /// Parse from an iterator over the raw arguments (program name
-    /// already skipped). Unknown `--flags` are ignored, as before.
-    fn parse(args: impl Iterator<Item = String>) -> Options {
+    /// already skipped). Unknown `--flags` are ignored; an unknown
+    /// selector or a malformed `--threads` / `--tenants` value is an error.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options {
             names: Vec::new(),
             chaos: false,
@@ -101,71 +108,50 @@ impl Options {
             baseline: None,
             tenants: None,
         };
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if a == "--chaos" {
-                opts.chaos = true;
-            } else if a == "--csv" {
-                opts.csv = true;
-            } else if a == "--threads" {
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    opts.threads = n;
-                    i += 1;
+        while let Some(a) = args.next() {
+            if !a.starts_with("--") {
+                if !SELECTORS.contains(&a.as_str()) {
+                    return Err(format!(
+                        "unknown experiment '{a}' (expected one of: {})",
+                        SELECTORS.join(", ")
+                    ));
                 }
-            } else if let Some(v) = a.strip_prefix("--threads=") {
-                if let Ok(n) = v.parse() {
-                    opts.threads = n;
-                }
-            } else if a == "--trace" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.trace_dir = Some(PathBuf::from(dir));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--trace=") {
-                opts.trace_dir = Some(PathBuf::from(v));
-            } else if a == "--history" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.history_dir = Some(PathBuf::from(dir));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--history=") {
-                opts.history_dir = Some(PathBuf::from(v));
-            } else if a == "--alerts" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.alerts_dir = Some(PathBuf::from(dir));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--alerts=") {
-                opts.alerts_dir = Some(PathBuf::from(v));
-            } else if a == "--json" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.json = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--json=") {
-                opts.json = Some(PathBuf::from(v));
-            } else if a == "--baseline" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.baseline = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--baseline=") {
-                opts.baseline = Some(PathBuf::from(v));
-            } else if a == "--tenants" {
-                if let Some(v) = args.get(i + 1) {
-                    opts.tenants = parse_tenants(v);
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--tenants=") {
-                opts.tenants = parse_tenants(v);
-            } else if !a.starts_with("--") {
-                opts.names.push(a.clone());
+                opts.names.push(a);
+                continue;
             }
-            i += 1;
+            // Valued flags take `--flag VALUE` or `--flag=VALUE`.
+            let (flag, mut inline) = match a.split_once('=') {
+                Some((flag, v)) => (flag, Some(v.to_string())),
+                None => (a.as_str(), None),
+            };
+            let mut value = || inline.take().or_else(|| args.next());
+            match flag {
+                "--chaos" => opts.chaos = true,
+                "--csv" => opts.csv = true,
+                "--threads" => {
+                    let v = value().ok_or("--threads needs a worker count")?;
+                    opts.threads = v
+                        .parse()
+                        .map_err(|_| format!("invalid --threads value '{v}': expected a count"))?;
+                }
+                "--tenants" => {
+                    let v = value().ok_or("--tenants needs a tenant-count list")?;
+                    opts.tenants = Some(parse_tenants(&v).ok_or_else(|| {
+                        format!(
+                            "invalid --tenants value '{v}': expected positive counts, \
+                             comma-separated"
+                        )
+                    })?);
+                }
+                "--trace" => opts.trace_dir = value().map(PathBuf::from),
+                "--history" => opts.history_dir = value().map(PathBuf::from),
+                "--alerts" => opts.alerts_dir = value().map(PathBuf::from),
+                "--json" => opts.json = value().map(PathBuf::from),
+                "--baseline" => opts.baseline = value().map(PathBuf::from),
+                _ => {}
+            }
         }
-        opts
+        Ok(opts)
     }
 
     /// No selector at all ⇒ run every default experiment; `all` forces it.
@@ -492,18 +478,12 @@ fn run_e12(harness: &TrialHarness, opts: &Options) {
     );
 }
 
-/// Parse a `--tenants` list (`"100,1000"`); `None` on any bad element.
+/// Parse a `--tenants` list (`"100,1000"`); `None` on any bad element
+/// (empty, non-numeric or zero).
 fn parse_tenants(v: &str) -> Option<Vec<u32>> {
-    let counts: Vec<u32> = v
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    if counts.is_empty() {
-        None
-    } else {
-        Some(counts)
-    }
+    v.split(',')
+        .map(|s| s.trim().parse().ok().filter(|&n: &u32| n > 0))
+        .collect()
 }
 
 /// The `trace` subcommand: replay seeded chaos plans with the causal
@@ -579,7 +559,10 @@ fn write_rig_trace(dir: &Path) {
 }
 
 fn main() {
-    let opts = Options::parse(env::args().skip(1));
+    let opts = Options::parse(env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}");
+        std::process::exit(2);
+    });
     let harness = TrialHarness::new(opts.threads);
 
     println!("Tsuru experiment reproduction (see DESIGN.md §4, EXPERIMENTS.md)\n");

@@ -1,5 +1,5 @@
-//! Kernel microbenchmark workloads shared by `repro bench` and the
-//! Criterion benches.
+//! Kernel microbenchmark workloads behind `repro bench` (and the host
+//! calibration of the end-to-end benchmark).
 //!
 //! The workload is a bundle of self-rescheduling event chains whose delays
 //! spread across several timer-wheel levels (so cascades are exercised, not
@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use crate::refkernel::RefSim;
-use tsuru_sim::{Event, EventFn, Sim, SimDuration, SimTime};
+use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 
 /// Concurrent chains per workload. The queue depth is where the two
 /// kernels diverge: the reference heap pays `O(log n)` pointer-chasing per
@@ -38,14 +38,9 @@ fn chain_delay(state: u64) -> u64 {
 /// reschedules itself until `left` runs out.
 enum Tick {
     Step { left: u32 },
-    #[allow(dead_code)]
-    Dyn(EventFn<u64, Tick>),
 }
 
 impl Event<u64> for Tick {
-    fn from_fn(f: EventFn<u64, Self>) -> Self {
-        Tick::Dyn(f)
-    }
     fn dispatch(self, state: &mut u64, sim: &mut Sim<u64, Self>) {
         match self {
             Tick::Step { left } => {
@@ -57,7 +52,6 @@ impl Event<u64> for Tick {
                     });
                 }
             }
-            Tick::Dyn(f) => f(state, sim),
         }
     }
 }

@@ -6,9 +6,9 @@
 //!   repro [e1|e2|e3|e4|e5|e6|all]`) regenerates every experiment table
 //!   from DESIGN.md §4 in simulated time — the reproduction of the paper's
 //!   figures/claims (results recorded in EXPERIMENTS.md);
-//! - the **Criterion benches** (`cargo bench`) measure the *wall-clock*
-//!   cost of the simulator itself on scaled-down versions of the same
-//!   scenarios, so regressions in the substrate are caught.
+//! - `repro bench` ([`kernelbench`]) measures the *wall-clock* cost of the
+//!   event kernel against the preserved reference kernel ([`refkernel`]),
+//!   so regressions in the substrate are caught.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

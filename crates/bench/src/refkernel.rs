@@ -2,9 +2,9 @@
 //!
 //! This is the kernel the simulator shipped with before the typed-event /
 //! timer-wheel rewrite: a `BinaryHeap` ordered by `(time, seq)` holding one
-//! **boxed closure per event**. It exists only so `repro bench` and the
-//! Criterion benches can measure the new kernel against the old one on the
-//! same workload — nothing in the simulator proper uses it.
+//! **boxed closure per event**. It exists only so `repro bench` can
+//! measure the new kernel against the old one on the same workload —
+//! nothing in the simulator proper uses it.
 //!
 //! The semantics match the old `tsuru_sim::Sim` exactly (earliest-first,
 //! FIFO on timestamp ties via the monotone `seq`), so a chain workload run

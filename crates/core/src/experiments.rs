@@ -2,14 +2,12 @@
 //! (DESIGN.md §4). Each returns structured rows; the bench crate's `repro`
 //! binary renders them and EXPERIMENTS.md records the results.
 //!
-//! Every multi-trial experiment (E1, E2, E3, A1, A2) has two entry points:
-//! the original serial signature (`e1_slowdown`, …) and a `*_with` variant
-//! taking a [`TrialHarness`] that fans the independent trials out over a
-//! thread pool. Both produce identical rows at any thread count — trials
-//! are seeded purely from `(base_seed, trial_index)` and re-sorted by
-//! index (see `harness.rs`).
+//! Every multi-trial experiment (E1, E2, E3, A1, A2) takes a
+//! [`TrialHarness`] that fans the independent trials out over a thread
+//! pool (`*_with`; pass [`TrialHarness::serial`] for a plain loop). The
+//! rows are identical at any thread count — trials are seeded purely from
+//! `(base_seed, trial_index)` and re-sorted by index (see `harness.rs`).
 
-use serde::{Deserialize, Serialize};
 use tsuru_container::{
     ApiServer, ClaimPhase, ControllerManager, Namespace, ObjectMeta, PersistentVolumeClaim,
     Provisioner, StorageClass, BACKUP_TAG_KEY, BACKUP_TAG_VALUE,
@@ -31,7 +29,7 @@ use tsuru_sim::DetRng;
 // =====================================================================
 
 /// One (mode, RTT) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E1Row {
     /// Backup mode label.
     pub mode: String,
@@ -47,15 +45,11 @@ pub struct E1Row {
     pub p99_ms: f64,
 }
 
-/// Sweep backup modes across inter-site distances (serial).
-pub fn e1_slowdown(seed: u64, rtts_ms: &[u64], duration: SimDuration) -> Vec<E1Row> {
-    e1_slowdown_with(&TrialHarness::serial(), seed, rtts_ms, duration).rows
-}
-
-/// [`e1_slowdown`] with each (RTT, mode) cell as one harness trial.
+/// Sweep backup modes across inter-site distances, with each (RTT, mode)
+/// cell as one harness trial.
 ///
 /// Every cell uses the same workload seed so modes stay directly
-/// comparable at a given RTT, exactly as the serial sweep did.
+/// comparable at a given RTT.
 pub fn e1_slowdown_with(
     harness: &TrialHarness,
     seed: u64,
@@ -96,7 +90,7 @@ pub fn e1_slowdown_with(
 // =====================================================================
 
 /// Aggregate over many disaster trials for one mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2Row {
     /// Backup mode label.
     pub mode: String,
@@ -114,7 +108,7 @@ pub struct E2Row {
 }
 
 /// Verdict of one surprise-failure drill (one harness trial).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2Trial {
     /// Backup mode label.
     pub mode: String,
@@ -129,12 +123,8 @@ pub struct E2Trial {
     pub lost_orders: u64,
 }
 
-/// Run `trials` surprise-failure drills per mode (serial).
-pub fn e2_collapse(base_seed: u64, trials: u32, session_jitter: SimDuration) -> Vec<E2Row> {
-    e2_collapse_with(&TrialHarness::serial(), base_seed, trials, session_jitter).rows
-}
-
-/// [`e2_collapse`] fanned over a harness: one trial per (mode, drill).
+/// Run `trials` surprise-failure drills per mode, fanned over a harness:
+/// one trial per (mode, drill).
 ///
 /// Drill `t` uses seed `DetRng::trial_seed(base_seed, t)` under *both*
 /// modes, so the comparison stays paired; aggregation runs over the
@@ -208,7 +198,7 @@ pub fn e2_drill(base_seed: u64, t: u64, mode: BackupMode, session_jitter: SimDur
 // =====================================================================
 
 /// One (mode, bandwidth, journal) RPO measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E3Row {
     /// Backup mode label.
     pub mode: String,
@@ -228,14 +218,9 @@ pub struct E3Row {
     pub p99_ms: f64,
 }
 
-/// Sweep ADC over bandwidths and journal sizes; one SDC reference row
-/// (serial).
-pub fn e3_rpo(seed: u64, bandwidths_mbps: &[u64], journal_mib: &[u64]) -> Vec<E3Row> {
-    e3_rpo_with(&TrialHarness::serial(), seed, bandwidths_mbps, journal_mib).rows
-}
-
-/// [`e3_rpo`] with each (mode, bandwidth, journal) cell as one harness
-/// trial. Every cell uses the same workload seed, as the serial sweep did.
+/// Sweep ADC over bandwidths and journal sizes, plus one SDC reference
+/// row, with each (mode, bandwidth, journal) cell as one harness trial.
+/// Every cell uses the same workload seed.
 pub fn e3_rpo_with(
     harness: &TrialHarness,
     seed: u64,
@@ -289,7 +274,7 @@ pub fn e3_rpo_with(
 // =====================================================================
 
 /// One snapshot-scenario measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E4Row {
     /// Scenario label.
     pub scenario: String,
@@ -377,7 +362,7 @@ pub fn e4_snapshot(seed: u64) -> Vec<E4Row> {
 // =====================================================================
 
 /// One namespace-size measurement of configuration effort.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E5Row {
     /// Claims in the namespace.
     pub volumes: usize,
@@ -554,7 +539,7 @@ pub fn e6_demo(seed: u64) -> E6Outcome {
 // =====================================================================
 
 /// One pump-parameter measurement of backup lag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct A1Row {
     /// Base pump interval in microseconds.
     pub pump_interval_us: u64,
@@ -572,16 +557,8 @@ pub struct A1Row {
 
 /// Sweep the transfer pump's interval and batch size, sampling the
 /// acked-minus-applied backlog. The backup-site *lag* is the price of the
-/// main site's zero slowdown; this quantifies the knob.
-pub fn a1_backup_lag(
-    seed: u64,
-    pump_intervals_us: &[u64],
-    batches: &[usize],
-) -> Vec<A1Row> {
-    a1_backup_lag_with(&TrialHarness::serial(), seed, pump_intervals_us, batches).rows
-}
-
-/// [`a1_backup_lag`] with each (interval, batch) cell as one harness trial.
+/// main site's zero slowdown; this quantifies the knob. Each (interval,
+/// batch) cell is one harness trial.
 pub fn a1_backup_lag_with(
     harness: &TrialHarness,
     seed: u64,
@@ -649,7 +626,7 @@ pub fn a1_backup_lag_with(
 // =====================================================================
 
 /// One journal-policy measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct A2Row {
     /// `block` or `suspend`.
     pub policy: String,
@@ -669,13 +646,8 @@ pub struct A2Row {
 
 /// Compare the two journal-overflow behaviours on an undersized journal
 /// over a slow link: Block trades primary latency for a bounded recovery
-/// point; Suspend keeps the primary fast but abandons the backup.
-pub fn a2_journal_policy(seed: u64, journal_kib: &[u64]) -> Vec<A2Row> {
-    a2_journal_policy_with(&TrialHarness::serial(), seed, journal_kib).rows
-}
-
-/// [`a2_journal_policy`] with each (capacity, policy) cell as one harness
-/// trial.
+/// point; Suspend keeps the primary fast but abandons the backup. Each
+/// (capacity, policy) cell is one harness trial.
 pub fn a2_journal_policy_with(
     harness: &TrialHarness,
     seed: u64,
@@ -729,7 +701,7 @@ pub fn a2_journal_policy_with(
 // =====================================================================
 
 /// One topology measurement after a main-site disaster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E7Row {
     /// Topology label.
     pub mode: String,

@@ -16,8 +16,7 @@
 //!   serial runner at any thread count**.
 //!
 //! Wall-clock is measured per trial and for the whole batch, surfacing
-//! through [`ThroughputReport`] (trials/sec, per-trial latency summary,
-//! speedup vs a baseline run).
+//! through [`ThroughputReport`] (trials/sec, per-trial latency summary).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -141,10 +140,10 @@ impl TrialHarness {
             let next = AtomicUsize::new(0);
             let results: Mutex<Vec<(usize, u64, R)>> = Mutex::new(Vec::with_capacity(trials));
             let workers = self.threads.min(trials);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        s.spawn(|_| {
+                        s.spawn(|| {
                             let mut local: Vec<(usize, u64, R)> = Vec::new();
                             loop {
                                 let index = next.fetch_add(1, Ordering::Relaxed);
@@ -167,8 +166,7 @@ impl TrialHarness {
                 for h in handles {
                     h.join().expect("trial worker panicked");
                 }
-            })
-            .expect("trial scope failed");
+            });
             results.into_inner().unwrap()
         };
         let wall_ns = batch_start.elapsed().as_nanos() as u64;
@@ -233,5 +231,14 @@ mod tests {
         let summed = set.map_rows(|rows| vec![rows.iter().sum::<u64>()]);
         assert_eq!(summed.rows, vec![6]);
         assert_eq!(summed.stats.throughput.trials, trials);
+    }
+
+    #[test]
+    #[should_panic(expected = "trial worker panicked")]
+    fn worker_panic_propagates_instead_of_partial_rows() {
+        let _ = TrialHarness::new(2).run(7, 8, |ctx| {
+            assert_ne!(ctx.index, 5, "trial 5 fails");
+            ctx.index
+        });
     }
 }

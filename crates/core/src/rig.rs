@@ -7,7 +7,6 @@
 //! volumes (sales WAL/data, stock WAL/data), two databases, the order
 //! workload — under any [`BackupMode`].
 
-use serde::{Deserialize, Serialize};
 use tsuru_analytics::AnalyticsReport;
 use tsuru_ecom::driver::start_clients;
 use tsuru_ecom::{
@@ -26,7 +25,7 @@ use crate::event::{ControlOp, DemoEvent, DemoSim};
 use crate::world::DemoWorld;
 
 /// How the business process is protected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackupMode {
     /// No replication at all (the latency floor).
     None,
@@ -322,14 +321,6 @@ impl TwoSiteRig {
     pub fn run_workload_for(&mut self, duration: SimDuration) {
         start_clients(&mut self.world, &mut self.sim);
         self.sim.run_for(&mut self.world, duration);
-    }
-
-    /// Run an exact number of orders to completion (plus replication
-    /// drain).
-    pub fn run_orders(&mut self, orders: u64) {
-        self.world.app_mut().stop_after_orders = Some(orders);
-        start_clients(&mut self.world, &mut self.sim);
-        self.sim.run(&mut self.world);
     }
 
     /// Arm the self-healing supervisor on the world and schedule its

@@ -3,8 +3,10 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-use tsuru_core::experiments::{e1_slowdown, e2_collapse, e5_operator, e6_demo, manual_steps};
-use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TwoSiteRig};
+use tsuru_core::experiments::{
+    e1_slowdown_with, e2_collapse_with, e5_operator, e6_demo, manual_steps,
+};
+use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_nso::NsoConfig;
 use tsuru_sim::{SimDuration, SimTime};
 
@@ -76,7 +78,13 @@ fn demo_naive_policy_creates_per_volume_groups() {
 
 #[test]
 fn e1_shape_adc_flat_sdc_grows_with_rtt() {
-    let rows = e1_slowdown(3, &[2, 20], SimDuration::from_millis(150));
+    let rows = e1_slowdown_with(
+        &TrialHarness::serial(),
+        3,
+        &[2, 20],
+        SimDuration::from_millis(150),
+    )
+    .rows;
     assert_eq!(rows.len(), 6);
     let find = |mode: &str, rtt: f64| {
         rows.iter()
@@ -106,7 +114,7 @@ fn e1_shape_adc_flat_sdc_grows_with_rtt() {
 
 #[test]
 fn e2_shape_cg_never_collapses_naive_often_does() {
-    let rows = e2_collapse(100, 8, SimDuration::from_millis(2));
+    let rows = e2_collapse_with(&TrialHarness::serial(), 100, 8, SimDuration::from_millis(2)).rows;
     let cg = rows.iter().find(|r| r.mode == "adc-cg").unwrap();
     let naive = rows.iter().find(|r| r.mode == "adc-naive").unwrap();
     assert_eq!(cg.storage_collapses, 0, "{cg:?}");
@@ -157,8 +165,8 @@ fn rig_sdc_loses_nothing_on_failover() {
 
 #[test]
 fn a1_lag_grows_with_pump_interval_but_host_unaffected() {
-    use tsuru_core::experiments::a1_backup_lag;
-    let rows = a1_backup_lag(19, &[200, 5000], &[8]);
+    use tsuru_core::experiments::a1_backup_lag_with;
+    let rows = a1_backup_lag_with(&TrialHarness::serial(), 19, &[200, 5000], &[8]).rows;
     let fast = rows.iter().find(|r| r.pump_interval_us == 200).unwrap();
     let slow = rows.iter().find(|r| r.pump_interval_us == 5000).unwrap();
     assert!(
@@ -171,8 +179,8 @@ fn a1_lag_grows_with_pump_interval_but_host_unaffected() {
 
 #[test]
 fn a2_block_bounds_loss_suspend_bounds_latency() {
-    use tsuru_core::experiments::a2_journal_policy;
-    let rows = a2_journal_policy(23, &[256]);
+    use tsuru_core::experiments::a2_journal_policy_with;
+    let rows = a2_journal_policy_with(&TrialHarness::serial(), 23, &[256]).rows;
     let block = rows.iter().find(|r| r.policy == "block").unwrap();
     let suspend = rows.iter().find(|r| r.policy == "suspend").unwrap();
     assert!(block.stalls > 0, "{block:?}");

@@ -6,7 +6,7 @@
 //! plain enum variant instead of a boxed closure makes the steady-state
 //! client loop allocation-free on the kernel side.
 
-use tsuru_sim::{DynEvent, Event, Sim};
+use tsuru_sim::{DynEvent, Sim};
 use tsuru_storage::{HasStorage, StorageEvents};
 
 use crate::app::HasEcom;
@@ -58,6 +58,6 @@ pub trait EcomEvents<S>: StorageEvents<S> {
 
 impl<S: HasStorage + HasEcom + 'static> EcomEvents<S> for DynEvent<S> {
     fn ecom(op: EcomOp) -> Self {
-        DynEvent::from_fn(Box::new(move |s, sim| op.dispatch(s, sim)))
+        DynEvent(Box::new(move |s, sim| op.dispatch(s, sim)))
     }
 }

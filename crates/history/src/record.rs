@@ -303,16 +303,6 @@ pub struct History {
 }
 
 impl History {
-    /// Build a history directly from records (used by fixtures); seq
-    /// numbers are rewritten to emission order.
-    pub fn from_records(records: Vec<Record>) -> Self {
-        let mut records = records;
-        for (i, r) in records.iter_mut().enumerate() {
-            r.seq = i as u64;
-        }
-        History { records }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -4,10 +4,9 @@
 //! user state `S`. The event type `E` implements [`Event`]: domain crates
 //! define plain enums dispatched by `match`, so the hot path schedules and
 //! fires events with **zero heap allocations**. The default event type,
-//! [`DynEvent`], is the classic boxed-closure escape hatch — `Sim<S>`
-//! (no second parameter) behaves exactly like the original closure kernel,
-//! and [`Sim::schedule_at`] / [`Sim::schedule_in`] accept closures for any
-//! event type via [`Event::from_fn`].
+//! [`DynEvent`], is a boxed closure: `Sim<S>` (no second parameter) is the
+//! closure kernel, and only it offers [`Sim::schedule_at`] /
+//! [`Sim::schedule_in`].
 //!
 //! Pending events live in a hierarchical timer wheel (see [`crate::wheel`])
 //! rather than a binary heap: O(1) amortized insert and pop, and cheap
@@ -18,20 +17,15 @@
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
-/// A one-shot boxed event handler for kernels of event type `E`.
-pub type EventFn<S, E = DynEvent<S>> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>)>;
+/// A one-shot boxed event handler for the closure kernel `Sim<S>`.
+pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Sim<S>)>;
 
 /// A schedulable event for kernels over state `S`.
 ///
 /// Implementations are typically enums whose [`Event::dispatch`] is a
 /// `match` calling straight into domain code — no allocation, no virtual
-/// call. Every implementation must also absorb a boxed closure
-/// ([`Event::from_fn`]) so generic helpers and tests can keep scheduling
-/// ad-hoc handlers (the `Dyn` escape-hatch variant).
+/// call.
 pub trait Event<S>: Sized + 'static {
-    /// Wrap a boxed closure as an event (the escape hatch used by
-    /// [`Sim::schedule_at`] and [`Sim::schedule_in`]).
-    fn from_fn(f: EventFn<S, Self>) -> Self;
     /// Fire the event. Consumes it; handlers may mutate the world and
     /// schedule further events.
     fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>);
@@ -40,13 +34,9 @@ pub trait Event<S>: Sized + 'static {
 /// The default event type: a boxed one-shot closure. `Sim<S>` with this
 /// event type is API- and behavior-compatible with the original
 /// closure-only kernel (one allocation per scheduled event).
-pub struct DynEvent<S: 'static>(EventFn<S>);
+pub struct DynEvent<S: 'static>(pub EventFn<S>);
 
 impl<S: 'static> Event<S> for DynEvent<S> {
-    #[inline]
-    fn from_fn(f: EventFn<S, Self>) -> Self {
-        DynEvent(f)
-    }
     #[inline]
     fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>) {
         (self.0)(state, sim)
@@ -143,7 +133,7 @@ impl<S, E: Event<S>> Sim<S, E> {
     }
 
     /// Schedule event `ev` at absolute time `t`. Zero-allocation for
-    /// typed (non-`Dyn`) events. The returned token can cancel it.
+    /// typed (non-[`DynEvent`]) events. The returned token can cancel it.
     ///
     /// # Panics
     /// Panics if `t` is earlier than the current time — scheduling into the
@@ -178,30 +168,6 @@ impl<S, E: Event<S>> Sim<S, E> {
     /// cancelled.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
         self.wheel.cancel(token.time.as_nanos(), token.seq).is_some()
-    }
-
-    /// Schedule closure `f` to run at absolute time `t` (boxed escape
-    /// hatch; one allocation).
-    ///
-    /// # Panics
-    /// Panics if `t` is earlier than the current time — scheduling into the
-    /// past would silently corrupt causality.
-    pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut S, &mut Sim<S, E>) + 'static) {
-        self.schedule_event_at(t, E::from_fn(Box::new(f)));
-    }
-
-    /// Schedule closure `f` to run `delay` after the current time (boxed
-    /// escape hatch; one allocation).
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut S, &mut Sim<S, E>) + 'static,
-    ) {
-        let t = self
-            .now
-            .checked_add(delay)
-            .expect("invariant: sim time never overflows u64 nanoseconds in a bounded run");
-        self.schedule_at(t, f);
     }
 
     /// Run the single earliest pending event, advancing the clock to its
@@ -270,6 +236,28 @@ impl<S, E: Event<S>> Sim<S, E> {
     /// Drop all pending events (used when tearing a scenario down early).
     pub fn clear_pending(&mut self) {
         self.wheel.clear();
+    }
+}
+
+impl<S: 'static> Sim<S> {
+    /// Schedule closure `f` to run at absolute time `t` (one boxed
+    /// allocation).
+    ///
+    /// # Panics
+    /// Panics if `t` is earlier than the current time — scheduling into the
+    /// past would silently corrupt causality.
+    pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut S, &mut Sim<S>) + 'static) {
+        self.schedule_event_at(t, DynEvent(Box::new(f)));
+    }
+
+    /// Schedule closure `f` to run `delay` after the current time (one
+    /// boxed allocation).
+    pub fn schedule_in(
+        &mut self,
+        delay: SimDuration,
+        f: impl FnOnce(&mut S, &mut Sim<S>) + 'static,
+    ) {
+        self.schedule_event_in(delay, DynEvent(Box::new(f)));
     }
 }
 
@@ -388,16 +376,12 @@ mod tests {
     }
 
     /// A minimal typed event: proves match-dispatched enums work end to
-    /// end, including the `Dyn` escape hatch alongside typed variants.
+    /// end.
     enum TickEvent {
         Add(u32),
-        Dyn(EventFn<Vec<u32>, TickEvent>),
     }
 
     impl Event<Vec<u32>> for TickEvent {
-        fn from_fn(f: EventFn<Vec<u32>, Self>) -> Self {
-            TickEvent::Dyn(f)
-        }
         fn dispatch(self, state: &mut Vec<u32>, sim: &mut Sim<Vec<u32>, Self>) {
             match self {
                 TickEvent::Add(n) => {
@@ -406,21 +390,8 @@ mod tests {
                         sim.schedule_event_in(SimDuration::from_millis(1), TickEvent::Add(n + 1));
                     }
                 }
-                TickEvent::Dyn(f) => f(state, sim),
             }
         }
-    }
-
-    #[test]
-    fn typed_events_interleave_with_dyn_closures() {
-        let mut sim: Sim<Vec<u32>, TickEvent> = Sim::new();
-        let mut log = Vec::new();
-        sim.schedule_event_at(SimTime::from_millis(1), TickEvent::Add(1));
-        sim.schedule_at(SimTime::from_millis(2), |s: &mut Vec<u32>, _| s.push(99));
-        sim.run(&mut log);
-        // t=1: Add(1); t=2: the closure (scheduled first, lower seq) then
-        // Add(2); t=3: Add(3).
-        assert_eq!(log, vec![1, 99, 2, 3]);
     }
 
     #[test]

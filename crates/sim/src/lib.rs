@@ -4,8 +4,9 @@
 //! fully deterministic discrete-event simulator plus the measurement and
 //! randomness primitives every other crate builds on.
 //!
-//! - [`Sim`] — the event kernel: a time-ordered queue of one-shot closures
-//!   over a user-supplied world state.
+//! - [`Sim`] — the event kernel: a time-ordered queue of events over a
+//!   user-supplied world state, typed enums ([`Event`]) or boxed closures
+//!   ([`DynEvent`], the default).
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
 //! - [`DetRng`] / [`Zipf`] — seeded, splittable randomness.
 //! - [`Histogram`], [`Counter`], [`TimeSeries`] — measurement.

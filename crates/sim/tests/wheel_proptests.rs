@@ -7,27 +7,20 @@
 //! tests drive both side by side over arbitrary operation scripts.
 
 use proptest::prelude::*;
-use tsuru_sim::{Event, EventFn, Sim, SimTime, TimerToken};
+use tsuru_sim::{Event, Sim, SimTime, TimerToken};
 
 /// Firing log: `(fire_time_nanos, id)` per dispatched event.
 type Log = Vec<(u64, u64)>;
 
-/// Minimal typed event for the harness (the closure arm is unused but
-/// keeps the enum honest about the kernel's escape hatch).
+/// Minimal typed event for the harness.
 enum Ev {
     Rec { id: u64 },
-    #[allow(dead_code)]
-    Dyn(EventFn<Log, Ev>),
 }
 
 impl Event<Log> for Ev {
-    fn from_fn(f: EventFn<Log, Self>) -> Self {
-        Ev::Dyn(f)
-    }
     fn dispatch(self, state: &mut Log, sim: &mut Sim<Log, Self>) {
         match self {
             Ev::Rec { id } => state.push((sim.now().as_nanos(), id)),
-            Ev::Dyn(f) => f(state, sim),
         }
     }
 }

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tsuru_sim::{Event, EventFn, Sim, SimDuration};
+use tsuru_sim::{Event, Sim, SimDuration};
 
 struct CountingAlloc;
 
@@ -53,14 +53,9 @@ static A: CountingAlloc = CountingAlloc;
 /// reschedules itself until `left` runs out. No variant holds heap data.
 enum Tick {
     Step { left: u32 },
-    #[allow(dead_code)]
-    Dyn(EventFn<u64, Tick>),
 }
 
 impl Event<u64> for Tick {
-    fn from_fn(f: EventFn<u64, Self>) -> Self {
-        Tick::Dyn(f)
-    }
     fn dispatch(self, state: &mut u64, sim: &mut Sim<u64, Self>) {
         match self {
             Tick::Step { left } => {
@@ -74,7 +69,6 @@ impl Event<u64> for Tick {
                     });
                 }
             }
-            Tick::Dyn(f) => f(state, sim),
         }
     }
 }

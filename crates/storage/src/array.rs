@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{ServiceStation, SimDuration, SimTime};
 
 
@@ -22,7 +21,7 @@ use crate::volume::{Volume, VolumeRole};
 pub const DEFAULT_POOL_CAPACITY: u64 = 1 << 40;
 
 /// Service-time profile of an array's data path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayPerf {
     /// Cache-hit write service time (host write → ack-ready).
     pub write_service: SimDuration,

@@ -7,7 +7,8 @@
 //! [`StorageEvents`]`, so every scheduled hop is a typed
 //! [`StorageOp`](crate::event::StorageOp) dispatched by match — zero
 //! allocations per event — while closure-kernel worlds (`Sim<World>`)
-//! keep working through the boxed escape hatch. The flow for one
+//! keep working through one boxed [`DynEvent`](tsuru_sim::DynEvent) per
+//! hop. The flow for one
 //! asynchronously replicated write (the paper's §III-A1):
 //!
 //! ```text

@@ -283,6 +283,6 @@ pub trait StorageEvents<S>: Event<S> {
 
 impl<S: HasStorage + 'static> StorageEvents<S> for DynEvent<S> {
     fn storage(op: StorageOp<S, Self>) -> Self {
-        DynEvent::from_fn(Box::new(move |s, sim| op.dispatch(s, sim)))
+        DynEvent(Box::new(move |s, sim| op.dispatch(s, sim)))
     }
 }

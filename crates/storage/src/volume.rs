@@ -63,11 +63,6 @@ impl Volume {
         self.size_blocks
     }
 
-    /// Capacity in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_blocks * BLOCK_SIZE as u64
-    }
-
     /// Current replication role.
     pub fn role(&self) -> VolumeRole {
         self.role

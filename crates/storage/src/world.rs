@@ -159,11 +159,6 @@ impl StorageWorld {
         self.supervisor.as_ref()
     }
 
-    /// Mutable access to the armed supervisor, if any.
-    pub fn supervisor_mut(&mut self) -> Option<&mut Supervisor> {
-        self.supervisor.as_mut()
-    }
-
     /// Detach the supervisor for one probe pass (borrow split: the tick
     /// walks groups mutably while consulting supervisor state).
     pub(crate) fn take_supervisor(&mut self) -> Option<Supervisor> {

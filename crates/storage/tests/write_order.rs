@@ -11,7 +11,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use tsuru_sim::{Sim, SimDuration, SimTime};
+use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{

@@ -2,7 +2,7 @@
 //! across every layer, and different seeds genuinely differ.
 
 use tsuru_core::experiments::{
-    e1_slowdown, e2_collapse_with, e3_rpo_with, e5_operator, e6_demo,
+    e1_slowdown_with, e2_collapse_with, e3_rpo_with, e5_operator, e6_demo,
 };
 use tsuru_core::{BackupMode, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_sim::{SimDuration, SimTime};
@@ -50,8 +50,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn experiment_tables_are_reproducible() {
-    let a = e1_slowdown(5, &[2, 10], SimDuration::from_millis(100));
-    let b = e1_slowdown(5, &[2, 10], SimDuration::from_millis(100));
+    let serial = TrialHarness::serial();
+    let a = e1_slowdown_with(&serial, 5, &[2, 10], SimDuration::from_millis(100)).rows;
+    let b = e1_slowdown_with(&serial, 5, &[2, 10], SimDuration::from_millis(100)).rows;
     let key = |rows: &[tsuru_core::experiments::E1Row]| -> Vec<(String, u64, u64)> {
         rows.iter()
             .map(|r| (r.mode.clone(), r.tps as u64, (r.p50_ms * 1e6) as u64))

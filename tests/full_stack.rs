@@ -2,8 +2,8 @@
 //! recovered business process, exercising every crate in one flow.
 
 use tsuru_container::{ClaimPhase, ReplicationState, BACKUP_TAG_KEY};
-use tsuru_core::experiments::{e3_rpo, e4_snapshot};
-use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TwoSiteRig};
+use tsuru_core::experiments::{e3_rpo_with, e4_snapshot};
+use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_history::Recorder;
 use tsuru_nso::NsoConfig;
 use tsuru_sim::{SimDuration, SimTime};
@@ -173,7 +173,7 @@ fn naive_demo_system_collapses_under_the_right_conditions() {
 
 #[test]
 fn e3_rpo_shrinks_with_bandwidth() {
-    let rows = e3_rpo(5, &[50, 1000], &[64]);
+    let rows = e3_rpo_with(&TrialHarness::serial(), 5, &[50, 1000], &[64]).rows;
     let slow = rows
         .iter()
         .find(|r| r.mode == "adc-cg" && r.bandwidth_mbps == 50)
