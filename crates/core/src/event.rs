@@ -75,14 +75,7 @@ impl ControlOp {
                 out,
                 remaining,
             } => {
-                let lag: u64 = groups
-                    .iter()
-                    .flat_map(|&g| w.st.fabric.group(g).pairs.clone())
-                    .map(|pid| {
-                        let p = w.st.fabric.pair(pid);
-                        p.acked_writes - p.applied_writes
-                    })
-                    .sum();
+                let (_, lag) = w.st.replication_backlog(groups.iter().copied());
                 out.borrow_mut().push(lag);
                 if remaining > 0 {
                     sim.schedule_event_in(

@@ -79,9 +79,10 @@ pub struct RigConfig {
     /// Database geometry.
     pub db: DbConfig,
     /// Install an enabled [`tsuru_storage::Tracer`] on the world, turning
-    /// on span recording and metrics time-series sampling. Off by default:
-    /// the disabled tracer keeps the hot path allocation-free and all
-    /// experiment outputs byte-identical to untraced runs.
+    /// on span recording and the per-edge replication series (RPO lag,
+    /// journal occupancy). Off by default: the disabled tracer keeps the
+    /// hot path allocation-free and all experiment outputs byte-identical
+    /// to untraced runs.
     pub trace: bool,
     /// Install an enabled [`tsuru_history::Recorder`] on the world, so
     /// the workload drivers record a client-visible op history. Off by

@@ -240,7 +240,6 @@ pub fn build_tenant_world(
 ) -> (TenantWorld, Sim<TenantWorld, TenantOp>) {
     assert!(p.tenants > 0 && p.shards > 0, "need at least one tenant and shard");
     let mut st = StorageWorld::new(seed, EngineConfig::default());
-    st.metrics.enable_sampling();
     let main = st.add_array("metro-main", ArrayPerf::default());
     let backup = st.add_array("metro-backup", ArrayPerf::default());
 
@@ -434,6 +433,27 @@ mod tests {
             .map(|(s, _)| s)
             .collect();
         assert_eq!(lanes, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// Sampling work is set by the sampler's own timer, not by tenant
+    /// count: an untraced tenant world records its shard lanes and nothing
+    /// else, `samples + 1` points per lane at any size.
+    #[test]
+    fn untraced_world_samples_only_shard_lanes_at_any_size() {
+        for tenants in [6, 60] {
+            let mut p = small();
+            p.tenants = tenants;
+            p.shards = 8.min(tenants);
+            let (mut w, mut sim) = build_tenant_world(13, &p);
+            sim.run(&mut w);
+            assert_eq!(w.acked, u64::from(tenants) * 3 * 2);
+            let snap = w.st.metrics.snapshot();
+            assert_eq!(snap.series.len(), 2 * p.shards as usize, "{tenants} tenants");
+            for (name, s) in &snap.series {
+                assert!(name.starts_with("shard."), "{tenants} tenants: unread series {name}");
+                assert_eq!(s.len, u64::from(p.samples) + 1, "{tenants} tenants: {name}");
+            }
+        }
     }
 
     #[test]

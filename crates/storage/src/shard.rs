@@ -13,7 +13,7 @@
 //! [`GroupId`]), so shard lookup on the sampling path is one array read.
 //! [`crate::StorageWorld::sample_shard_series`] walks the lanes and feeds
 //! the per-shard journal-occupancy and apply-lag series that E12 tables
-//! and the E11 SLO engine read.
+//! read.
 
 use tsuru_simnet::LinkId;
 

@@ -166,8 +166,8 @@ impl RecoveryStage {
 }
 
 /// Monotonic counters describing everything the supervisor did. These are
-/// plain state (not registry metrics) so reports can read them even in
-/// untraced trials where time-series sampling is off.
+/// plain state (not registry metrics), so reports read them directly
+/// instead of looking them up by name.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Probe passes executed.

@@ -172,12 +172,12 @@ impl StorageWorld {
 
     /// Arm the SLO/alerting engine with the given rule profile, with
     /// `now` as the arming instant (the absence-rule reference before a
-    /// series' first sample). Turns on time-series sampling so the
-    /// rules' signals exist. The caller still has to drive
-    /// [`StorageWorld::slo_tick`] from a timer event (see `tsuru-core`'s
-    /// `SloTick`).
+    /// series' first sample). While armed, the world samples the
+    /// replication series at every transfer and apply edge and the health
+    /// series at every SLO tick, so the rules' signals exist. The caller
+    /// still has to drive [`StorageWorld::slo_tick`] from a timer event
+    /// (see `tsuru-core`'s `SloTick`).
     pub fn enable_alerts(&mut self, profile: AlertProfile, now: SimTime) {
-        self.metrics.enable_sampling();
         self.alerts = Some(AlertEngine::new(profile, now));
     }
 
@@ -229,22 +229,13 @@ impl StorageWorld {
     /// degraded groups. Runs only on SLO ticks, so the series exist only
     /// while the alert engine is armed.
     fn sample_health_series(&mut self, now: SimTime) {
-        let mut occupancy = 0u64;
-        let mut lag = 0u64;
-        let mut degraded = 0u64;
-        for gid in self.fabric.group_ids() {
-            let g = self.fabric.group(gid);
-            if let Some(jid) = g.primary_jnl {
-                occupancy += self.fabric.journal(jid).used_bytes();
-            }
-            for &pid in &g.pairs {
-                let p = self.fabric.pair(pid);
-                lag += p.acked_writes.saturating_sub(p.applied_writes);
-            }
-            if !g.pairs.is_empty() && !g.is_active() {
-                degraded += 1;
-            }
-        }
+        let gids = self.fabric.group_ids();
+        let (occupancy, lag) = self.replication_backlog(gids.iter().copied());
+        let degraded = gids
+            .into_iter()
+            .map(|gid| self.fabric.group(gid))
+            .filter(|g| !g.pairs.is_empty() && !g.is_active())
+            .count() as u64;
         let links_down = self.net.iter().filter(|(_, l)| !l.is_up(now)).count() as u64;
         let arrays_failed = self.arrays.iter().filter(|a| a.is_failed()).count() as u64;
         self.metrics.sample(names::HEALTH_RPO_LAG, now, lag as f64);
@@ -258,14 +249,14 @@ impl StorageWorld {
             .sample(names::HEALTH_GROUPS_DEGRADED, now, degraded as f64);
     }
 
-    /// Install a tracing handle on the world, its network and every link,
-    /// and turn on time-series sampling (RPO lag, journal occupancy) at
-    /// the replication edges. Install before the first engine event so
-    /// the trace covers the whole run.
+    /// Install a tracing handle on the world, its network and every link.
+    /// An enabled tracer also makes the world sample the replication
+    /// series (RPO lag, journal occupancy) at every transfer and apply
+    /// edge. Install before the first engine event so the trace covers
+    /// the whole run.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.net.set_tracer(tracer.clone());
         self.tracer = tracer;
-        self.metrics.enable_sampling();
     }
 
     /// Install a client-visible history recorder. Install after setup
@@ -881,17 +872,13 @@ impl StorageWorld {
         self.config.journal_full_policy
     }
 
-    /// Sample the derived replication time series (total primary-journal
-    /// occupancy, acked-but-unapplied RPO lag) at a transfer or apply
-    /// edge. No-op unless sampling was enabled by
-    /// [`StorageWorld::set_tracer`].
-    pub(crate) fn sample_replication_series(&mut self, now: SimTime) {
-        if !self.metrics.sampling_enabled() {
-            return;
-        }
+    /// The replication backlog of `groups`: total primary-journal
+    /// occupancy in bytes and total acked-but-unapplied writes over their
+    /// pairs. Every lag and occupancy series is summed here.
+    pub fn replication_backlog(&self, groups: impl IntoIterator<Item = GroupId>) -> (u64, u64) {
         let mut occupancy = 0u64;
         let mut lag = 0u64;
-        for gid in self.fabric.group_ids() {
+        for gid in groups {
             let g = self.fabric.group(gid);
             if let Some(jid) = g.primary_jnl {
                 occupancy += self.fabric.journal(jid).used_bytes();
@@ -901,44 +888,35 @@ impl StorageWorld {
                 lag += p.acked_writes.saturating_sub(p.applied_writes);
             }
         }
+        (occupancy, lag)
+    }
+
+    /// Sample the derived replication time series (total primary-journal
+    /// occupancy, acked-but-unapplied RPO lag) at a transfer or apply
+    /// edge. The walk covers every group, so it runs only when something
+    /// reads the series: an enabled tracer (trace exports and tests) or an
+    /// armed alert engine (its RPO-lag rules).
+    pub(crate) fn sample_replication_series(&mut self, now: SimTime) {
+        if !self.tracer.is_enabled() && self.alerts.is_none() {
+            return;
+        }
+        let (occupancy, lag) = self.replication_backlog(self.fabric.group_ids());
         self.metrics
             .sample(names::JOURNAL_OCCUPANCY, now, occupancy as f64);
         self.metrics.sample(names::RPO_LAG, now, lag as f64);
     }
 
     /// Sample per-shard journal occupancy and apply lag into the metrics
-    /// registry's shard lanes, plus the aggregate health series the E11
-    /// SLO engine watches — one walk over the layout serves both readers.
-    /// No-op (cheap) unless sampling is enabled.
+    /// registry's shard lanes, one point per lane per call. The caller's
+    /// timer decides when; E12 reads the lanes back for its tables.
     pub fn sample_shard_series(&mut self, layout: &ShardLayout, now: SimTime) {
-        if !self.metrics.sampling_enabled() {
-            return;
-        }
-        let mut total_occupancy = 0u64;
-        let mut total_lag = 0u64;
         for (shard, lane) in layout.iter() {
-            let mut occupancy = 0u64;
-            let mut lag = 0u64;
-            for &gid in &lane.groups {
-                let g = self.fabric.group(gid);
-                if let Some(jid) = g.primary_jnl {
-                    occupancy += self.fabric.journal(jid).used_bytes();
-                }
-                for &pid in &g.pairs {
-                    let p = self.fabric.pair(pid);
-                    lag += p.acked_writes.saturating_sub(p.applied_writes);
-                }
-            }
+            let (occupancy, lag) = self.replication_backlog(lane.groups.iter().copied());
             self.metrics
                 .sample_shard(names::SHARD_JOURNAL_OCCUPANCY, shard, now, occupancy as f64);
             self.metrics
                 .sample_shard(names::SHARD_APPLY_LAG, shard, now, lag as f64);
-            total_occupancy += occupancy;
-            total_lag += lag;
         }
-        self.metrics.sample(names::HEALTH_RPO_LAG, now, total_lag as f64);
-        self.metrics
-            .sample(names::HEALTH_JOURNAL_OCCUPANCY, now, total_occupancy as f64);
     }
 }
 

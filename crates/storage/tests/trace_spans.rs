@@ -6,8 +6,8 @@ use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, span_names, ArrayPerf, EngineConfig, HasStorage, RecordKind, SpanId, StorageWorld,
-    Tracer,
+    block_from, metric_names, span_names, AlertProfile, ArrayPerf, EngineConfig, HasStorage,
+    RecordKind, SpanId, StorageWorld, Tracer,
 };
 
 struct World {
@@ -26,9 +26,18 @@ impl HasStorage for World {
 
 /// One ADC consistency group with two pairs, tracing enabled, two writes.
 fn traced_run() -> (World, Tracer) {
-    let mut st = StorageWorld::new(7, EngineConfig::default());
     let tracer = Tracer::enabled();
-    st.set_tracer(tracer.clone());
+    (two_write_run(tracer.clone(), false), tracer)
+}
+
+/// One ADC consistency group with two pairs and two writes, under
+/// `tracer` and, if `alerts`, an armed alert engine.
+fn two_write_run(tracer: Tracer, alerts: bool) -> World {
+    let mut st = StorageWorld::new(7, EngineConfig::default());
+    st.set_tracer(tracer);
+    if alerts {
+        st.enable_alerts(AlertProfile::default_profile(), SimTime::ZERO);
+    }
     let main = st.add_array("main", ArrayPerf::default());
     let backup = st.add_array("backup", ArrayPerf::default());
     let link = st.add_link(LinkConfig::metro());
@@ -51,7 +60,7 @@ fn traced_run() -> (World, Tracer) {
         });
     }
     sim.run(&mut world);
-    (world, tracer)
+    world
 }
 
 #[test]
@@ -123,10 +132,7 @@ fn traced_run_samples_replication_series_and_counts_metrics() {
     let snap = world.st.metrics.snapshot();
     // RPO-lag and journal-occupancy series are sampled at transfer/apply
     // edges once tracing is installed.
-    for name in [
-        tsuru_storage::metric_names::JOURNAL_OCCUPANCY,
-        tsuru_storage::metric_names::RPO_LAG,
-    ] {
+    for name in [metric_names::JOURNAL_OCCUPANCY, metric_names::RPO_LAG] {
         assert!(
             snap.series.iter().any(|(n, _)| n == name),
             "series {name} missing from snapshot"
@@ -136,9 +142,34 @@ fn traced_run_samples_replication_series_and_counts_metrics() {
     let last_lag = snap
         .series
         .iter()
-        .filter(|(n, _)| n == tsuru_storage::metric_names::RPO_LAG)
-        .next_back()
+        .rfind(|(n, _)| n == metric_names::RPO_LAG)
         .map(|(_, s)| s.last)
         .expect("at least one rpo.lag_writes sample");
     assert_eq!(last_lag, 0.0);
+}
+
+#[test]
+fn replication_series_are_sampled_only_for_a_reader() {
+    let (traced, _tracer) = traced_run();
+    let traced_points = traced.st.metrics.series(metric_names::RPO_LAG).map(|s| s.len());
+    assert!(traced_points.unwrap_or(0) > 0);
+
+    // An armed alert engine reads the RPO-lag series, so an untraced world
+    // samples it at the same edges as a traced one.
+    let alerted = two_write_run(Tracer::disabled(), true);
+    assert_eq!(alerted.acks, 2);
+    assert_eq!(
+        alerted.st.metrics.series(metric_names::RPO_LAG).map(|s| s.len()),
+        traced_points
+    );
+
+    // With neither reader the per-edge walk never runs.
+    let quiet = two_write_run(Tracer::disabled(), false);
+    assert_eq!(quiet.acks, 2);
+    assert_eq!(quiet.st.fabric.pair_ids().len(), 2);
+    for pid in quiet.st.fabric.pair_ids() {
+        assert_eq!(quiet.st.fabric.pair(pid).applied_writes, 1);
+    }
+    assert!(quiet.st.metrics.series(metric_names::RPO_LAG).is_none());
+    assert!(quiet.st.metrics.series(metric_names::JOURNAL_OCCUPANCY).is_none());
 }

@@ -444,7 +444,6 @@ mod tests {
         samples: &[(u64, f64)],
     ) -> usize {
         let mut m = MetricsRegistry::new();
-        m.enable_sampling();
         let tracer = Tracer::disabled();
         for &(us, v) in samples {
             m.sample(name, at(us), v);
@@ -560,7 +559,6 @@ mod tests {
             },
         });
         let mut m = MetricsRegistry::new();
-        m.enable_sampling();
         let tracer = Tracer::disabled();
         m.sample("s", at(100), 1.0);
         for us in [150u64, 250, 350, 400] {

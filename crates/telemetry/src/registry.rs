@@ -4,10 +4,10 @@
 //! The registry absorbs the ad-hoc stat fields that used to live on
 //! `StorageWorld` (`write_order_waits`, journal-stall retries, …): each
 //! becomes a named counter (see [`crate::names`]) that instrumented code
-//! bumps through one handle, and reports read back by name. Time-series
-//! sampling (RPO lag, journal occupancy) is gated by
-//! [`MetricsRegistry::enable_sampling`] so the hot path stays free when
-//! nobody will read the series.
+//! bumps through one handle, and reports read back by name. The registry
+//! records every sample it is handed; each sampler decides for itself
+//! whether anything will read its series (see `StorageWorld`'s
+//! `sample_*` methods), so an unread series costs nothing.
 
 use std::collections::BTreeMap;
 
@@ -22,11 +22,10 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<&'static str, Histogram>,
     series: BTreeMap<&'static str, TimeSeries>,
     shard_series: BTreeMap<(&'static str, u32), TimeSeries>,
-    sampling: bool,
 }
 
 impl MetricsRegistry {
-    /// An empty registry with sampling off.
+    /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
@@ -73,24 +72,9 @@ impl MetricsRegistry {
         self.histograms.get(name).map(Histogram::summary)
     }
 
-    /// Turn time-series sampling on; [`MetricsRegistry::sample`] is a
-    /// no-op until this is called.
-    pub fn enable_sampling(&mut self) {
-        self.sampling = true;
-    }
-
-    /// True once [`MetricsRegistry::enable_sampling`] was called.
-    pub fn sampling_enabled(&self) -> bool {
-        self.sampling
-    }
-
-    /// Append an observation to series `name` — only when sampling is
-    /// enabled, so instrumented edges can call this unconditionally.
-    /// Timestamps must be non-decreasing per series.
+    /// Append an observation to series `name`. Timestamps must be
+    /// non-decreasing per series.
     pub fn sample(&mut self, name: &'static str, t: SimTime, v: f64) {
-        if !self.sampling {
-            return;
-        }
         self.series.entry(name).or_default().push(t, v);
     }
 
@@ -99,24 +83,11 @@ impl MetricsRegistry {
         self.series.get(name)
     }
 
-    /// Append an observation to the shard-`shard` lane of series `name` —
-    /// gated by [`MetricsRegistry::enable_sampling`] exactly like
-    /// [`MetricsRegistry::sample`]. Sharded worlds sample journal
-    /// occupancy and apply lag per lane through this, so E12 tables and
-    /// the SLO engine read the same per-shard signals.
+    /// Append an observation to the shard-`shard` lane of series `name`.
+    /// Sharded worlds sample journal occupancy and apply lag per lane
+    /// through this, and E12 reads the lanes back for its tables.
     pub fn sample_shard(&mut self, name: &'static str, shard: u32, t: SimTime, v: f64) {
-        if !self.sampling {
-            return;
-        }
         self.shard_series.entry((name, shard)).or_default().push(t, v);
-    }
-
-    /// The shard-`shard` lane of series `name`, if ever sampled.
-    pub fn shard_series(&self, name: &str, shard: u32) -> Option<&TimeSeries> {
-        self.shard_series
-            .iter()
-            .find(|(&(n, s), _)| n == name && s == shard)
-            .map(|(_, ts)| ts)
     }
 
     /// All sampled lanes of series `name`, in ascending shard order.
@@ -256,31 +227,24 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_gated() {
+    fn samples_are_recorded_as_handed_in() {
         let mut m = MetricsRegistry::new();
-        m.sample("rpo.lag_writes", SimTime::from_millis(1), 5.0);
         assert!(m.series("rpo.lag_writes").is_none());
-        m.enable_sampling();
-        m.sample("rpo.lag_writes", SimTime::from_millis(2), 5.0);
-        m.sample("rpo.lag_writes", SimTime::from_millis(3), 2.0);
-        let s = m.series("rpo.lag_writes").expect("sampling enabled");
+        m.sample("rpo.lag_writes", SimTime::from_millis(1), 5.0);
+        m.sample("rpo.lag_writes", SimTime::from_millis(2), 2.0);
+        let s = m.series("rpo.lag_writes").expect("two samples recorded");
         assert_eq!(s.len(), 2);
         assert_eq!(s.max(), Some(5.0));
     }
 
     #[test]
-    fn shard_lanes_are_gated_and_keyed_per_shard() {
+    fn shard_lanes_are_keyed_per_shard() {
         let mut m = MetricsRegistry::new();
-        m.sample_shard("shard.apply_lag_writes", 0, SimTime::ZERO, 1.0);
-        assert!(m.shard_series("shard.apply_lag_writes", 0).is_none());
-        m.enable_sampling();
+        assert_eq!(m.shard_lanes("shard.apply_lag_writes").count(), 0);
         m.sample_shard("shard.apply_lag_writes", 1, SimTime::ZERO, 3.0);
         m.sample_shard("shard.apply_lag_writes", 0, SimTime::from_millis(1), 2.0);
         m.sample_shard("shard.apply_lag_writes", 1, SimTime::from_millis(1), 5.0);
-        assert_eq!(
-            m.shard_series("shard.apply_lag_writes", 1).map(|s| s.len()),
-            Some(2)
-        );
+        m.sample_shard("shard.journal_occupancy_bytes", 0, SimTime::ZERO, 9.0);
         let lanes: Vec<(u32, u64)> = m
             .shard_lanes("shard.apply_lag_writes")
             .map(|(s, ts)| (s, ts.len() as u64))
@@ -291,14 +255,17 @@ mod tests {
         let names: Vec<&str> = snap.series.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            vec!["shard.apply_lag_writes#0", "shard.apply_lag_writes#1"]
+            vec![
+                "shard.apply_lag_writes#0",
+                "shard.apply_lag_writes#1",
+                "shard.journal_occupancy_bytes#0",
+            ]
         );
     }
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let mut m = MetricsRegistry::new();
-        m.enable_sampling();
         m.inc("b.counter");
         m.inc("a.counter");
         m.record("lat", 42);
