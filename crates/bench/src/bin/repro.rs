@@ -728,6 +728,15 @@ fn run_bench(harness: &TrialHarness, opts: &Options) -> bool {
         "a2",
         time_secs(|| a2_journal_policy_with(harness, 23, &[256, 1024, 16384])).1,
     );
+    // E12 at a CI-sized tenant count (the `repro e12` seed, one 2000-tenant
+    // world), best of three: one world is short enough that a single run
+    // mostly measures host noise.
+    time_exp(
+        "e12",
+        (0..3)
+            .map(|_| time_secs(|| e12_scale_with(harness, 0xC0FFEE, &[2000])).1)
+            .fold(f64::INFINITY, f64::min),
+    );
 
     if let Some(path) = &opts.json {
         let json = bench_json(&typed, &boxed, speedup, rig_peak, &experiments);

@@ -65,15 +65,44 @@ pub type BlockBuf = Bytes;
 /// Used for content fingerprints in the ack log and write-order-fidelity
 /// checker; not cryptographic, but collisions are irrelevant at the scales
 /// simulated (≪ 2^32 samples).
+///
+/// The result is exactly byte-serial FNV-1a, computed faster on zero
+/// runs. A zero byte leaves `h ^ 0 == h`, so its step is a bare multiply
+/// by the prime, and 64 zero bytes are one multiply by `PRIME^64`
+/// (mod 2^64). The data is walked in 64-byte chunks; an all-zero chunk
+/// (found by an OR-fold) takes that one multiply, and every other chunk
+/// and the tail take the byte loop. Simulated blocks are a short payload
+/// padded with zeros to [`BLOCK_SIZE`], so most of a block is folded.
 pub fn content_hash(data: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    const CHUNK: usize = 64;
+    const PRIME_POW_64: u64 = {
+        let mut p = 1u64;
+        let mut i = 0;
+        while i < CHUNK {
+            p = p.wrapping_mul(PRIME);
+            i += 1;
+        }
+        p
+    };
+    fn bytes(mut h: u64, data: &[u8]) -> u64 {
+        for &b in data {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+        h
     }
-    h
+    let mut h = OFFSET;
+    let mut chunks = data.chunks_exact(CHUNK);
+    for chunk in &mut chunks {
+        h = if chunk.iter().fold(0, |acc, &b| acc | b) == 0 {
+            h.wrapping_mul(PRIME_POW_64)
+        } else {
+            bytes(h, chunk)
+        };
+    }
+    bytes(h, chunks.remainder())
 }
 
 /// Build a block-sized buffer from a possibly shorter payload, zero-padded.
@@ -96,6 +125,7 @@ pub fn block_from(data: &[u8]) -> BlockBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hash_is_stable_and_discriminating() {
@@ -105,6 +135,77 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    /// Byte-serial FNV-1a: the definition `content_hash` must match.
+    fn fnv1a_reference(data: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in data {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn hash_matches_pinned_fingerprints() {
+        assert_eq!(
+            content_hash(&block_from(&[0x40; 64])),
+            0xdd93_bd3a_0705_e325
+        );
+        assert_eq!(
+            content_hash(&block_from(&[0x43; 64])),
+            0x5f90_11bd_67f8_32e5
+        );
+        assert_eq!(content_hash(&[0u8; BLOCK_SIZE]), 0xb93a_0c83_ce3b_6325);
+        assert_eq!(content_hash(b"hello"), 0xa430_d846_80aa_bd0b);
+    }
+
+    /// A zero-based or random buffer of `len` bytes with zero runs cut into
+    /// it at arbitrary offsets (so they start and end mid-chunk and span
+    /// chunk boundaries) and single non-zero bytes poked at the first,
+    /// second, second-to-last or last byte of a 64-byte chunk.
+    fn hash_input() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0usize..=9000,
+            any::<bool>(),
+            any::<u64>(),
+            prop::collection::vec((0usize..9000, 0usize..600), 0..4),
+            prop::collection::vec((0usize..141, 0usize..4, 1u8..=255), 0..6),
+        )
+            .prop_map(|(len, random, seed, zero_runs, pokes)| {
+                let mut data = vec![0u8; len];
+                if random {
+                    let mut x = seed;
+                    for b in &mut data {
+                        x = x
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        *b = (x >> 56) as u8;
+                    }
+                }
+                for (start, run) in zero_runs {
+                    let start = start.min(len);
+                    let end = (start + run).min(len);
+                    data[start..end].fill(0);
+                }
+                for (chunk, edge, byte) in pokes {
+                    let at = chunk * 64 + [0, 1, 62, 63][edge];
+                    if let Some(b) = data.get_mut(at) {
+                        *b = byte;
+                    }
+                }
+                data
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hash_equals_byte_serial_fnv1a(data in hash_input()) {
+            prop_assert_eq!(content_hash(&data), fnv1a_reference(&data));
+        }
     }
 
     #[test]

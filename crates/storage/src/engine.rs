@@ -218,6 +218,7 @@ enum PersistNext {
     Stall(SimDuration, BlockBuf),
     Legs {
         data: BlockBuf,
+        hash: u64,
         adc_kicks: Vec<GroupId>,
         sdc_legs: Vec<(GroupId, PairId)>,
         any_degraded: bool,
@@ -244,7 +245,6 @@ pub(crate) fn persist<S, E>(
     E: StorageEvents<S>,
 {
     let now = sim.now();
-    let hash = content_hash(&data);
     let next = {
         let st = state.storage_mut();
         // Pass 0 — per-volume ordering: apply strictly in issue order. A
@@ -265,6 +265,7 @@ pub(crate) fn persist<S, E>(
             let pids: Vec<PairId> = st.fabric.pairs_by_primary(vol).to_vec();
             if pids.is_empty() {
                 st.retire_write_ticket(vol);
+                let hash = content_hash(&data);
                 let global = st.commit_local(now, vol, lba, data, hash);
                 PersistNext::Ack(WriteAck::Ok {
                     latency: now - issued,
@@ -303,6 +304,7 @@ pub(crate) fn persist<S, E>(
                     // Pass 2 — persist the primary copy once. The write is
                     // past admission, so the volume's turn advances.
                     st.retire_write_ticket(vol);
+                    let hash = content_hash(&data);
                     st.array_mut(vol.array).write_block(vol.volume, lba, data.clone());
                     // Pass 3 — drive each leg.
                     let mut adc_kicks = Vec::new();
@@ -365,6 +367,7 @@ pub(crate) fn persist<S, E>(
                     }
                     PersistNext::Legs {
                         data,
+                        hash,
                         adc_kicks,
                         sdc_legs,
                         any_degraded,
@@ -401,6 +404,7 @@ pub(crate) fn persist<S, E>(
         }
         PersistNext::Legs {
             data,
+            hash,
             adc_kicks,
             sdc_legs,
             any_degraded,

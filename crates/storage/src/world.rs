@@ -14,7 +14,7 @@ use tsuru_telemetry::{names, spans, AlertEngine, AlertProfile, MetricsRegistry, 
 
 use crate::acklog::{AckLog, PrefixReport};
 use crate::array::{ArrayPerf, StorageArray, WriteError};
-use crate::block::{block_from, ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef, VolumeId};
+use crate::block::{block_from, content_hash, ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef, VolumeId};
 use crate::config::{EngineConfig, JournalFullPolicy};
 use crate::fabric::{
     Group, GroupMode, GroupState, Pair, ReplicationFabric, SuspendReason,
@@ -757,11 +757,16 @@ impl StorageWorld {
                     p.applied_writes,
                     &p.initial_hashes,
                 );
-                let actual = self
-                    .array(p.secondary.array)
-                    .volume(p.secondary.volume)
-                    .content_hashes();
-                if expected != actual {
+                // Both sides ascend by LBA, so one lockstep walk decides
+                // equality; the map and the counts are built only for a
+                // mismatching pair.
+                let secondary = self.array(p.secondary.array).volume(p.secondary.volume);
+                let matches = secondary
+                    .iter_blocks()
+                    .map(|(lba, b)| (lba, content_hash(b)))
+                    .eq(expected.iter().map(|(&lba, &h)| (lba, h)));
+                if !matches {
+                    let actual = secondary.content_hashes();
                     let missing = expected
                         .iter()
                         .filter(|(lba, h)| actual.get(lba) != Some(h))

@@ -197,6 +197,41 @@ fn adc_applies_in_ack_order_across_the_group() {
     }
 }
 
+/// One flipped byte deep in a secondary block's zero padding is one wrong
+/// block: the content check must see it inside an otherwise all-zero
+/// 64-byte run and report the pair's counts.
+#[test]
+fn verify_consistency_reports_a_corrupt_byte_in_a_zero_tail() {
+    let mut r = rig();
+    let p = r.world.st.create_volume(r.main, "p", 64);
+    let s = r.world.st.create_volume(r.backup, "s", 64);
+    let g = r.world.st.create_adc_group("g", r.link, r.reverse, 1 << 24);
+    r.world.st.add_pair(g, p, s);
+    for i in 0..8u64 {
+        write_at(&mut r.sim, SimTime::from_nanos(i * 300_000), p, i, i + 1);
+    }
+    r.sim.run(&mut r.world);
+    let rep = r.world.st.verify_consistency(&[g]);
+    assert!(rep.is_consistent(), "{rep:?}");
+
+    let mut block = r.world.st.read_direct(s, 5).unwrap().to_vec();
+    assert_eq!(block[3000], 0);
+    block[3000] = 0x01;
+    r.world
+        .st
+        .array_mut(r.backup)
+        .write_block(s.volume, 5, block.into());
+    let rep = r.world.st.verify_consistency(&[g]);
+    assert!(!rep.is_consistent());
+    assert!(rep.prefix.consistent, "{rep:?}");
+    assert_eq!(
+        rep.content_mismatches,
+        [format!(
+            "pair {p}→{s}: 1 blocks wrong/missing, 1 unexpected"
+        )]
+    );
+}
+
 /// The paper's §I collapse scenario, reproduced at block level: with a
 /// consistency group, any surprise failure leaves a prefix-consistent
 /// backup; with naive per-volume groups, lag between the volumes leaves a
